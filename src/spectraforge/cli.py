@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -57,6 +58,23 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we want exit(1)
         raise UsageError(message)
+
+
+def positive_int(text: str) -> int:
+    """argparse type for grid sizes and depths: an integer >= 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _parse_window(text: str) -> tuple[Fraction, Fraction]:
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise UsageError(f"window must look like LO:HI, e.g. -100:100, got {text!r}")
+    lo, hi = (as_fraction(p) for p in parts)
+    if not lo < hi:
+        raise UsageError(f"window needs LO < HI, got {text!r}")
+    return lo, hi
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -334,7 +352,7 @@ def _cmd_density_scan(args) -> int:
         mu = _parse_selfsimilar(args.selfsimilar)
         freqs = selfsimilar_spectrum(mu, args.depth)
         inputs = {"selfsimilar": args.selfsimilar, "depth": args.depth}
-    lo, hi = (as_fraction(p) for p in args.window.split(":"))
+    lo, hi = _parse_window(args.window)
     h_values = [float(as_fraction(h)) for h in args.h.split(",")]
     rows = beurling_lower_density_proxy(freqs, (float(lo), float(hi)), h_values)
     inputs.update({"window": args.window, "h": args.h})
@@ -368,7 +386,7 @@ def build_parser() -> _Parser:
     p.add_argument("--atoms", help="integer atoms, e.g. 0,1,2")
     p.add_argument("--weights", help="rational weights, e.g. 1/3,2/3")
     p.add_argument("--selfsimilar", help="DIGITS:SCALE, e.g. 0,2:4")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=positive_int, default=4)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_spectrum_find)
 
@@ -385,11 +403,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("jp-scan", help="orthonormality scan over a rational grid")
     p.add_argument("--selfsimilar", required=True, help="DIGITS:SCALE")
-    p.add_argument("--depth", type=int, default=4, help="spectrum tower depth")
-    p.add_argument("--grid-size", type=int, default=512)
+    p.add_argument("--depth", type=positive_int, default=4, help="spectrum tower depth")
+    p.add_argument("--grid-size", type=positive_int, default=512)
     p.add_argument("--approx-level", type=int, default=0,
                    help="scan the level-J atomic approximation instead (0 = off)")
-    p.add_argument("--policy-depth", type=int, default=40)
+    p.add_argument("--policy-depth", type=positive_int, default=40)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--csv", help="write x,Q,tail_error rows here")
     p.add_argument("--out")
@@ -400,15 +418,15 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, default=1, help="dilation applied to eta")
     p.add_argument("--nu", required=True,
                    help="'lebesgue' or 'selfsimilar:DIGITS:SCALE'")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--policy-depth", type=int, default=40)
+    p.add_argument("--depth", type=positive_int, default=4)
+    p.add_argument("--policy-depth", type=positive_int, default=40)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_convolve_build)
 
     p = sub.add_parser("density-scan", help="sliding-window density diagnostic")
     p.add_argument("--freqs", help="explicit frequency list")
     p.add_argument("--selfsimilar", help="DIGITS:SCALE, tower source")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=positive_int, default=4)
     p.add_argument("--window", default="-100:100", help="LO:HI")
     p.add_argument("--h", required=True, help="window lengths, e.g. 4,8,16")
     p.add_argument("--csv", help="write h,density rows here")
@@ -418,10 +436,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser every `run` uses: building one takes about a millisecond and
+    leaves reference cycles for the collector, and parsing does not change it."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

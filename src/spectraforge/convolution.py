@@ -27,10 +27,16 @@ from .measures import (
     SelfSimilarMeasure,
     UnitIntervalLebesgue,
     approximate_convolution_atoms,
-    ft_convolution,
-    mask_eval,
+    ft_values,
 )
-from .rational import as_fraction, frac_mod1, lcm_denominator, sorted_distinct, unit_exp
+from .rational import (
+    RationalBatch,
+    as_fraction,
+    frac_mod1,
+    lcm_denominator,
+    phase_matrix,
+    sorted_distinct,
+)
 from .spectra import (
     ZeroSetDescriptor,
     classify_discrete,
@@ -124,7 +130,7 @@ def riesz_spectrum_convolution(
     S = find_riesz_spectrum(A, strategy="deterministic")
     gamma = generator.truncate(depth)
     _integer_compatible(gamma, q)
-    M = np.array([[unit_exp(a * s) for s in S] for a in map(Fraction, A)], dtype=complex)
+    M = phase_matrix(A, S)
     det = abs(np.linalg.det(M))
     assembled = _assemble(S, gamma)
     return ConvolutionSpectrum(
@@ -357,26 +363,23 @@ def gram_section(
     the asymptotic Riesz bounds, so stability of these floors across depths
     is the numerical evidence reported by the CLI.
     """
-    freqs = sorted_distinct(as_fraction(f) for f in frequencies)
-    nu = mu.continuous_factor
-    if isinstance(nu, UnitIntervalLebesgue):
-        def entry(d):
-            value, _ = ft_convolution(mu, d, policy)
-            return value
+    freqs = RationalBatch.of(sorted_distinct(as_fraction(f) for f in frequencies))
+    if isinstance(mu.continuous_factor, UnitIntervalLebesgue):
+        model = mu
     else:
-        atomic = approximate_convolution_atoms(mu, approx_depth)
+        model = approximate_convolution_atoms(mu, approx_depth)
 
-        def entry(d):
-            return mask_eval(atomic, d)
-
+    # G[i, j] = mu_hat(k_i - k_j) for i >= j, one evaluation per distinct
+    # difference; the upper triangle is its conjugate
     m = len(freqs)
+    nums = freqs.numerators.astype(object)
+    rows, cols = np.tril_indices(m)
+    diffs, inverse = np.unique(nums[rows] - nums[cols], return_inverse=True)
+    values, _ = ft_values(model, RationalBatch(diffs, freqs.denominator), policy)
+    values = values[inverse]
     G = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        G[i, i] = entry(Fraction(0))
-        for j in range(i):
-            v = entry(freqs[i] - freqs[j])
-            G[i, j] = v
-            G[j, i] = v.conjugate()
+    G[cols, rows] = values.conj()
+    G[rows, cols] = values
     eigs = np.linalg.eigvalsh(G)
     return max(float(eigs[0]), 0.0), float(eigs[-1])
 

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .measures import AtomicMeasure
-from .rational import as_fraction, sorted_distinct, unit_exp
+from .rational import as_fraction, phase_matrix, sorted_distinct
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,7 @@ class FrameBounds:
 
 def synthesis_matrix(system: ExponentialSystem) -> np.ndarray:
     """V[i, j] = e^{-2 pi i lambda_i c_j} with exact phase reduction."""
-    atoms = system.measure.atoms
-    V = np.empty((len(system.frequencies), len(atoms)), dtype=complex)
-    for i, lam in enumerate(system.frequencies):
-        for j, c in enumerate(atoms):
-            V[i, j] = unit_exp(-(lam * c))
-    return V
+    return phase_matrix(system.frequencies, system.measure.atoms, sign=-1)
 
 
 def _weighted_frame_matrix(system: ExponentialSystem) -> np.ndarray:
@@ -136,9 +131,7 @@ def find_riesz_spectrum(
         pool = [Fraction(k, denominator_bound) for k in range(1, denominator_bound)]
         for _ in range(budget):
             freqs = tuple(sorted([Fraction(0)] + rng.sample(pool, n - 1)))
-            V = np.array(
-                [[unit_exp(lam * c) for c in C] for lam in freqs], dtype=complex
-            )
+            V = phase_matrix(freqs, C)
             if abs(np.linalg.det(V)) > 1e-9 * hadamard and accepted(freqs):
                 return freqs
         raise RuntimeError(f"no invertible frequency set found in {budget} draws")

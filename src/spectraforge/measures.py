@@ -21,12 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from .rational import (
+    TWO_PI,
+    RationalBatch,
     as_fraction,
+    exponential_sums,
     format_rational,
-    frac_mod1,
+    phase_residues,
+    residue_exp,
     sorted_distinct,
-    unit_exp,
 )
 
 
@@ -196,108 +201,141 @@ Measure = Union[AtomicMeasure, SelfSimilarMeasure, ConvolutionMeasure, UnitInter
 
 # ---------------------------------------------------------------------------
 # transforms
+#
+# Every transform is evaluated in batches: the `*_values` functions take a
+# sequence of points (or a RationalBatch) and return arrays.  Points that are
+# all ints and Fractions go through the exact phase kernel of `rational`; if
+# any point is a float, the whole batch is evaluated in floating point.  The
+# scalar functions are one-point wrappers around the batches.
+
+def _points(xs) -> Union[RationalBatch, np.ndarray]:
+    """An exact batch for rational points, a float array otherwise."""
+    if isinstance(xs, RationalBatch):
+        return xs
+    xs = list(xs)
+    if all(isinstance(x, (Fraction, int)) for x in xs):
+        return RationalBatch.of(xs)
+    return np.array([float(x) for x in xs], dtype=float)
+
+
+def mask_values(measure: AtomicMeasure, xs) -> np.ndarray:
+    """The mask sum_c p_c e^{2 pi i c x} at every point of `xs`, as one batch.
+
+    Rational points are reduced mod 1 exactly and atoms sharing a phase are
+    merged with exact weights (see `exponential_sums`), so the mask is 1
+    exactly at integers (for integer atoms), vanishes exactly on
+    quarter-lattice zeros, and |mask| <= 1 holds to roundoff even for huge
+    frequencies.  Float points use e^{2 pi i ((c x) mod 1)} per term.
+    """
+    points = _points(xs)
+    if isinstance(points, RationalBatch):
+        return exponential_sums(points, RationalBatch.of(measure.atoms), measure.weights)
+    phases = np.multiply.outer(points, [float(c) for c in measure.atoms])
+    weights = [p.numerator / p.denominator for p in measure.weights]
+    return (weights * np.exp(1j * (TWO_PI * (phases % 1.0)))).sum(axis=1)
 
 
 def mask_eval(measure: AtomicMeasure, x) -> complex:
-    """Evaluate the mask sum_c p_c e^{2 pi i c x} at a rational or float x.
-
-    Rational arguments are reduced mod 1 atom-by-atom in exact arithmetic and
-    atoms sharing a phase are merged with exact weights, so the mask is 1
-    exactly at integers (for integer atoms), vanishes exactly on
-    quarter-lattice zeros, and |mask_eval| <= 1 holds to roundoff even for
-    huge frequencies.
-    """
-    if isinstance(x, (Fraction, int)):
-        xq = as_fraction(x)
-        phases: dict[Fraction, Fraction] = {}
-        for c, p in zip(measure.atoms, measure.weights):
-            r = frac_mod1(c * xq)
-            phases[r] = phases.get(r, Fraction(0)) + p
-        total = 0j
-        for r, w in sorted(phases.items()):
-            total += (w.numerator / w.denominator) * unit_exp(r)
-        return total
-    xf = float(x)
-    total = 0j
-    for c, p in zip(measure.atoms, measure.weights):
-        total += (p.numerator / p.denominator) * unit_exp(float(c) * xf)
-    return total
+    """The mask sum_c p_c e^{2 pi i c x} at one rational or float point."""
+    return complex(mask_values(measure, [x])[0])
 
 
-def tail_deviation_bound(mu: SelfSimilarMeasure, xi, depth: int) -> float:
+def tail_deviation_bound(mu: SelfSimilarMeasure, xi, depth: int):
     """Certified bound on |product_{j>depth} mask(xi / scale^j) - 1|.
 
     Each omitted factor differs from 1 by at most 2 pi max(digits) |xi| / n^j
     (mean of |e^{2 pi i a t} - 1| <= 2 pi a |t|), and the product of (1+e_j)
-    deviates from 1 by at most exp(sum e_j) - 1.
+    deviates from 1 by at most exp(sum e_j) - 1.  `xi` may be one number or
+    an array of floats; the bound has the same shape.
     """
     amax = max(mu.digits)
-    if amax == 0:
-        return 0.0
     n = mu.scale
-    s = 2.0 * math.pi * amax * abs(float(xi)) * n ** (-depth) / (n - 1)
-    return math.expm1(s)
+    x = np.abs(np.asarray(xi, dtype=float))
+    return np.expm1(2.0 * math.pi * amax * x * n ** (-depth) / (n - 1))
+
+
+def ft_selfsimilar_values(mu: SelfSimilarMeasure, xs, policy: EvalPolicy = DEFAULT_POLICY):
+    """Truncated transforms of a self-similar measure with certified tails.
+
+    Returns arrays (values, error_bounds) with value = prod_{j<=J} mask(x / n^j)
+    and |true - value| <= error_bound (the tail bound; |value| <= 1).  Each
+    truncation level is one mask batch over all points.
+    """
+    points = _points(xs)
+    n = mu.scale
+    digit_mask = mu.digit_measure
+    values = np.ones(len(points), dtype=complex)
+    for j in range(1, policy.truncation_depth + 1):
+        if isinstance(points, RationalBatch):
+            level = points.divided_by(n**j)
+        else:
+            level = points / float(n**j)
+        values *= mask_values(digit_mask, level)
+    floats = points.floats() if isinstance(points, RationalBatch) else points
+    return values, tail_deviation_bound(mu, floats, policy.truncation_depth)
 
 
 def ft_selfsimilar(mu: SelfSimilarMeasure, xi, policy: EvalPolicy = DEFAULT_POLICY):
-    """Truncated transform of a self-similar measure with a certified tail.
+    """(value, error_bound) of the truncated transform at one point; see
+    `ft_selfsimilar_values`."""
+    values, bounds = ft_selfsimilar_values(mu, [xi], policy)
+    return complex(values[0]), float(bounds[0])
 
-    Returns (value, error_bound) where value = prod_{j<=J} mask(xi / n^j)
-    and |true - value| <= error_bound (the tail bound; |value| <= 1).
-    """
-    n = mu.scale
-    digit_mask = mu.digit_measure
-    value = 1 + 0j
-    if isinstance(xi, Fraction) or isinstance(xi, int):
-        x = as_fraction(xi)
-        for j in range(1, policy.truncation_depth + 1):
-            value *= mask_eval(digit_mask, x / n**j)
+
+def lebesgue_values(xs) -> np.ndarray:
+    """Transforms of Lebesgue measure on [0,1], (e^{2 pi i x} - 1)/(2 pi i x),
+    at every point of `xs`; the phase e^{2 pi i x} is reduced exactly for
+    rational points."""
+    points = _points(xs)
+    if isinstance(points, RationalBatch):
+        phase = residue_exp(*phase_residues(points, RationalBatch.of([1])))[:, 0]
+        x = points.floats()
     else:
-        x = float(xi)
-        for j in range(1, policy.truncation_depth + 1):
-            value *= mask_eval(digit_mask, x / n**j)
-    return value, tail_deviation_bound(mu, xi, policy.truncation_depth)
+        phase = np.exp(1j * (TWO_PI * (points % 1.0)))
+        x = points
+    out = np.ones(len(x), dtype=complex)
+    nonzero = x != 0.0
+    out[nonzero] = (phase[nonzero] - 1.0) / (2j * math.pi * x[nonzero])
+    return out
 
 
 def ft_lebesgue01(xi) -> complex:
     """Transform of Lebesgue measure on [0,1]: (e^{2 pi i xi} - 1)/(2 pi i xi)."""
-    if isinstance(xi, Fraction) or isinstance(xi, int):
-        x = as_fraction(xi)
-        if x == 0:
-            return 1 + 0j
-        num = unit_exp(x) - 1.0
-        return num / (2j * math.pi * (x.numerator / x.denominator))
-    xf = float(xi)
-    if xf == 0.0:
-        return 1 + 0j
-    return (unit_exp(xf) - 1.0) / (2j * math.pi * xf)
+    return complex(lebesgue_values([xi])[0])
 
 
-def ft_convolution(mu: ConvolutionMeasure, xi, policy: EvalPolicy = DEFAULT_POLICY):
-    """Transform of the convolution: dilated mask times continuous transform.
+def ft_values(measure: Measure, xs, policy: EvalPolicy = DEFAULT_POLICY):
+    """Arrays (values, certified error bounds) of any measure's transform at
+    every point of `xs`.
 
-    Returns (value, error_bound); the error bound is inherited from the
-    continuous factor, scaled by the exact modulus of the mask factor.
+    A convolution's value is the dilated mask times the continuous
+    transform; its error bound is the continuous factor's, scaled by the
+    exact modulus of the mask factor.
     """
-    mval = mask_eval(mu.dilated_discrete, xi)
-    nu = mu.continuous_factor
-    if isinstance(nu, UnitIntervalLebesgue):
-        return mval * ft_lebesgue01(xi), 0.0
-    nval, nerr = ft_selfsimilar(nu, xi, policy)
-    return mval * nval, abs(mval) * nerr
+    points = _points(xs)
+    if isinstance(measure, AtomicMeasure):
+        return mask_values(measure, points), np.zeros(len(points))
+    if isinstance(measure, SelfSimilarMeasure):
+        return ft_selfsimilar_values(measure, points, policy)
+    if isinstance(measure, UnitIntervalLebesgue):
+        return lebesgue_values(points), np.zeros(len(points))
+    if isinstance(measure, ConvolutionMeasure):
+        mval = mask_values(measure.dilated_discrete, points)
+        nval, nerr = ft_values(measure.continuous_factor, points, policy)
+        return mval * nval, np.abs(mval) * nerr
+    raise TypeError(f"unsupported measure {type(measure).__name__}")
 
 
 def ft_measure(measure: Measure, xi, policy: EvalPolicy = DEFAULT_POLICY):
     """Uniform entry point: (value, certified error bound) for any measure."""
-    if isinstance(measure, AtomicMeasure):
-        return mask_eval(measure, xi), 0.0
-    if isinstance(measure, SelfSimilarMeasure):
-        return ft_selfsimilar(measure, xi, policy)
-    if isinstance(measure, ConvolutionMeasure):
-        return ft_convolution(measure, xi, policy)
-    if isinstance(measure, UnitIntervalLebesgue):
-        return ft_lebesgue01(xi), 0.0
-    raise TypeError(f"unsupported measure {type(measure).__name__}")
+    values, bounds = ft_values(measure, [xi], policy)
+    return complex(values[0]), float(bounds[0])
+
+
+def ft_convolution(mu: ConvolutionMeasure, xi, policy: EvalPolicy = DEFAULT_POLICY):
+    """(value, error_bound) of a convolution's transform at one point; see
+    `ft_values`."""
+    return ft_measure(mu, xi, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .cyclotomic import (
     cyclotomic_divisor_orders,
     cyclotomic_free_remainder,
@@ -29,10 +31,10 @@ from .measures import (
     AtomicMeasure,
     EvalPolicy,
     SelfSimilarMeasure,
-    ft_measure,
-    mask_eval,
+    ft_values,
+    mask_values,
 )
-from .rational import as_fraction, sorted_distinct
+from .rational import RationalBatch, as_fraction, sorted_distinct
 
 
 def rational_mask_zeros(digits: Sequence[int], modulus: int) -> tuple[Fraction, ...]:
@@ -217,12 +219,12 @@ def is_bizero(
         return BiZeroCertificate(freqs, exact=True, witnesses=tuple(witnesses))
 
     witnesses = []
-    for i, hi in enumerate(freqs):
-        for lo in freqs[:i]:
-            value = abs(mask_eval(measure, hi - lo))
-            if value >= policy.tolerance:
-                return BiZeroFailure(freqs, (lo, hi), f"|mask| = {value:.3e}")
-            witnesses.append(PairWitness(lo, hi, "numeric", f"|mask| = {value:.3e}"))
+    pairs = [(lo, hi) for i, hi in enumerate(freqs) for lo in freqs[:i]]
+    moduli = np.abs(mask_values(measure, [hi - lo for lo, hi in pairs]))
+    for (lo, hi), value in zip(pairs, moduli):
+        if value >= policy.tolerance:
+            return BiZeroFailure(freqs, (lo, hi), f"|mask| = {value:.3e}")
+        witnesses.append(PairWitness(lo, hi, "numeric", f"|mask| = {value:.3e}"))
     return BiZeroCertificate(freqs, exact=False, witnesses=tuple(witnesses))
 
 
@@ -418,22 +420,24 @@ def jp_scan(measure, frequencies, grid, policy: EvalPolicy = DEFAULT_POLICY) -> 
 
     Each row carries a certified bound on the truncation error of Q at that
     point (zero for atomic measures).  The scan is labeled evidence: it can
-    refute orthonormality, never prove it.
+    refute orthonormality, never prove it.  All grid x frequency points are
+    evaluated as one batch; a grid holding a float is evaluated in floating
+    point throughout.
     """
     freqs = sorted_distinct(as_fraction(f) for f in frequencies)
-    rows = []
-    max_dev = 0.0
-    max_above = -math.inf
-    for x in grid:
-        xq = as_fraction(x) if not isinstance(x, float) else x
-        q_val = 0.0
-        q_err = 0.0
-        for lam in freqs:
-            arg = xq + lam
-            value, err = ft_measure(measure, arg, policy)
-            q_val += abs(value) ** 2
-            q_err += 2.0 * abs(value) * err + err * err
-        rows.append(JPScanRow(xq, q_val, q_err))
-        max_dev = max(max_dev, abs(q_val - 1.0))
-        max_above = max(max_above, q_val - 1.0)
-    return JPScanResult(tuple(rows), max_dev, max_above, policy.tolerance)
+    xs = [x if isinstance(x, float) else as_fraction(x) for x in grid]
+    if not xs:
+        raise ValueError("the scan grid is empty")
+    if any(isinstance(x, float) for x in xs):
+        points = [x + float(lam) for x in xs for lam in freqs]
+    else:
+        points = RationalBatch.of(xs).outer_sum(RationalBatch.of(freqs))
+    values, errors = ft_values(measure, points, policy)
+    modulus = np.abs(values).reshape(len(xs), len(freqs))
+    errors = errors.reshape(len(xs), len(freqs))
+    q_vals = (modulus**2).sum(axis=1)
+    q_errs = (2.0 * modulus * errors + errors * errors).sum(axis=1)
+    rows = tuple(JPScanRow(x, float(q), float(e)) for x, q, e in zip(xs, q_vals, q_errs))
+    return JPScanResult(
+        rows, float(np.abs(q_vals - 1.0).max()), float((q_vals - 1.0).max()), policy.tolerance
+    )

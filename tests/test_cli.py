@@ -212,3 +212,26 @@ def test_input_echo_allows_rerun(capsys):
     assert (code, first["verdict"], first["witnesses"]) == (
         code2, second["verdict"], second["witnesses"]
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jp-scan", "--selfsimilar", "0,2:4", "--grid-size", "0"],
+        ["jp-scan", "--selfsimilar", "0,2:4", "--grid-size", "-3"],
+        ["spectrum-find", "--selfsimilar", "0,2:4", "--depth", "0"],
+    ],
+)
+def test_nonpositive_grid_or_depth_exit_1(capsys, argv):
+    # invalid input, not an inconclusive verdict; no report (and no -Infinity)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "positive integer" in captured.err
+
+
+@pytest.mark.parametrize("window,message", [("5", "LO:HI"), ("5:1", "LO < HI")])
+def test_density_scan_bad_window_exit_1(capsys, window, message):
+    assert run(["density-scan", "--freqs", "0,1", f"--window={window}", "--h", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -2,13 +2,15 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectraforge import (
     AtomicMeasure,
     ConvolutionMeasure,
     EvalPolicy,
+    ExponentialSystem,
+    RationalBatch,
     SelfSimilarMeasure,
     UnitIntervalLebesgue,
     approximate_atoms,
@@ -16,13 +18,18 @@ from spectraforge import (
     ft_convolution,
     ft_lebesgue01,
     ft_measure,
+    frac_mod1,
     ft_selfsimilar,
     mask_eval,
+    mask_values,
     measure_from_json,
     measure_to_dict,
     measure_to_json,
+    synthesis_matrix,
     tail_deviation_bound,
+    unit_exp,
 )
+from spectraforge.rational import phase_residues
 
 
 def test_atomic_measure_validation():
@@ -201,3 +208,101 @@ def test_tail_bound_certifies_truncation(num, den):
     v8, _ = ft_selfsimilar(mu, xi, EvalPolicy(truncation_depth=8))
     v40, _ = ft_selfsimilar(mu, xi, EvalPolicy(truncation_depth=40))
     assert abs(v8 - v40) <= tail_deviation_bound(mu, xi, 8) + 1e-15
+
+
+# --- the batched phase kernel against the scalar Fraction loop -------------------
+
+
+def fraction_loop_mask(measure, x):
+    """Reference mask: each phase c*x reduced mod 1 in Fraction arithmetic,
+    equal phases merged with exact weights, summed in phase order."""
+    xq = F(x)
+    phases = {}
+    for c, p in zip(measure.atoms, measure.weights):
+        r = frac_mod1(c * xq)
+        phases[r] = phases.get(r, F(0)) + p
+    total = 0j
+    for r, w in sorted(phases.items()):
+        total += (w.numerator / w.denominator) * unit_exp(r)
+    return total
+
+
+def exact_bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def rationals(num_bits, max_den):
+    return st.builds(
+        F, st.integers(-(2**num_bits), 2**num_bits), st.integers(1, max_den)
+    )
+
+
+@st.composite
+def atomic_measures(draw, atom):
+    atoms = sorted(draw(st.sets(atom, min_size=1, max_size=6)))
+    raw = draw(st.lists(st.integers(1, 50), min_size=len(atoms), max_size=len(atoms)))
+    return AtomicMeasure(tuple(atoms), tuple(F(r, sum(raw)) for r in raw))
+
+
+@settings(max_examples=150)
+@given(atomic_measures(rationals(12, 40)), st.lists(rationals(30, 500), min_size=1, max_size=12))
+def test_mask_batch_matches_fraction_loop(measure, xs):
+    values = mask_values(measure, xs)
+    for x, v in zip(xs, values):
+        assert abs(v - fraction_loop_mask(measure, x)) <= 1e-15
+
+
+@settings(max_examples=60)
+@given(atomic_measures(rationals(70, 10**12)), st.lists(rationals(70, 10**9), min_size=1, max_size=6))
+@example(AtomicMeasure((F(0),), (F(1),)), [F(2**63)])  # an operand alone beyond int64
+def test_mask_batch_exact_past_int64(measure, xs):
+    # products and moduli beyond int64 take the Python-int residue path
+    residues, _ = phase_residues(RationalBatch.of(xs), RationalBatch.of(measure.atoms))
+    assume(residues.dtype == object)
+    for x, v in zip(xs, mask_values(measure, xs)):
+        assert abs(v - fraction_loop_mask(measure, x)) <= 1e-15
+
+
+def test_mask_batch_matches_fraction_loop_across_chunks():
+    # 3000 points x 8 atoms spans several chunks of the kernel
+    measure = AtomicMeasure(
+        tuple(F(c, 7) for c in (0, 2, 3, 9, 11, 20, 26, 40)),
+        tuple(F(w, 36) for w in (1, 2, 3, 4, 5, 6, 7, 8)),
+    )
+    xs = [F(k, 28) for k in range(-1500, 1500)]
+    for x, v in zip(xs, mask_values(measure, xs)):
+        assert abs(v - fraction_loop_mask(measure, x)) <= 1e-15
+
+
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=5, unique=True),
+    st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=20),
+)
+def test_mask_batch_bit_exact_one_at_integers(atoms, ks):
+    atoms = sorted(atoms)
+    weights = tuple(F(i + 1, len(atoms) * (len(atoms) + 1) // 2) for i in range(len(atoms)))
+    measure = AtomicMeasure(tuple(F(a) for a in atoms), weights)
+    assert all(v == 1 + 0j for v in mask_values(measure, ks))
+
+
+@given(st.integers(-30, 30), st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=20))
+def test_mask_batch_bit_exact_zero_at_quarter_zeros(a, ks):
+    # atoms {a, a + 2}: at odd multiples of 1/4 the two phases differ by 1/2
+    measure = AtomicMeasure.uniform([a, a + 2])
+    xs = [F(2 * k + 1, 4) for k in ks]
+    assert all(v == 0j for v in mask_values(measure, xs))
+    spread = AtomicMeasure.uniform([0, 1, 2, 3])
+    assert all(v == 0j for v in mask_values(spread, [F(k, 4) for k in (1, 2, 3, 5, -2)]))
+
+
+@settings(max_examples=80)
+@given(
+    st.sets(rationals(10, 30), min_size=1, max_size=8),
+    st.sets(rationals(10, 64), min_size=1, max_size=12),
+)
+def test_synthesis_matrix_bit_identical_to_unit_exp(atoms, freqs):
+    system = ExponentialSystem(AtomicMeasure.uniform(atoms), freqs)
+    V = synthesis_matrix(system)
+    for i, lam in enumerate(system.frequencies):
+        for j, c in enumerate(system.measure.atoms):
+            assert exact_bits(V[i, j]) == exact_bits(unit_exp(-(lam * c)))

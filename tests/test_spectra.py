@@ -233,6 +233,11 @@ def test_jp_scan_exact_finite_spectrum_is_flat():
     assert res.bessel_ok
 
 
+def test_jp_scan_rejects_an_empty_grid():
+    with pytest.raises(ValueError):
+        jp_scan(AtomicMeasure.uniform([0, 1]), (F(0), F(1, 2)), [])
+
+
 def test_jp_scan_selfsimilar_carries_error_bounds():
     mu = SelfSimilarMeasure((0, 2), 4)
     lam = selfsimilar_spectrum(mu, 2)
