@@ -213,14 +213,29 @@ def _cmd_spectrum_find(args) -> int:
     return _exit_code(out)
 
 
+def _load_system(path: str) -> tuple[AtomicMeasure, tuple[Fraction, ...]]:
+    """Decode a --system file: {"measure": {...}, "frequencies": [...]}."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise UsageError("--system must hold a JSON object with 'measure' and 'frequencies'")
+    if not isinstance(payload.get("measure"), dict):
+        raise UsageError("--system 'measure' must be a JSON object")
+    if not isinstance(payload.get("frequencies"), list):
+        raise UsageError("--system 'frequencies' must be a JSON list of rationals")
+    try:
+        measure = measure_from_dict(payload["measure"])
+        freqs = tuple(as_fraction(f) for f in payload["frequencies"])
+    except TypeError as exc:  # floats, nested lists, wrong-typed fields
+        raise UsageError(f"--system: {exc}") from exc
+    if not isinstance(measure, AtomicMeasure):
+        raise UsageError("frame bounds need an atomic measure")
+    return measure, freqs
+
+
 def _cmd_frame_bounds(args) -> int:
     if args.system:
-        with open(args.system) as fh:
-            payload = json.load(fh)
-        measure = measure_from_dict(payload["measure"])
-        if not isinstance(measure, AtomicMeasure):
-            raise UsageError("frame bounds need an atomic measure")
-        freqs = tuple(as_fraction(f) for f in payload["frequencies"])
+        measure, freqs = _load_system(args.system)
         inputs = {"system": args.system}
     elif args.atoms and args.freqs:
         atoms = parse_rationals(args.atoms)
@@ -321,16 +336,16 @@ def _cmd_convolve_build(args) -> int:
         witnesses["orthonormal_section"] = list(section.frequencies)
         witnesses["section_size"] = section.size
     else:
-        evidence = riesz_spectrum_convolution(mu, generator, args.depth)
         floors = []
         for J in range(1, args.depth + 1):
             sec = riesz_spectrum_convolution(mu, generator, J)
             lo, hi = gram_section(mu, sec.frequencies, approx_depth=J + 2, policy=policy)
             floors.append({"depth": J, "lower": lo, "upper": hi, "size": sec.size})
         eps0 = min(f["lower"] for f in floors)
+        # S and its determinant depend only on the dilated atoms, not on J
         witnesses["riesz_evidence"] = {
-            "discrete_part": list(evidence.discrete_part),
-            "matrix_determinant_modulus": evidence.witnesses["matrix_determinant_modulus"],
+            "discrete_part": list(sec.discrete_part),
+            "matrix_determinant_modulus": sec.witnesses["matrix_determinant_modulus"],
             "gram_sections": floors,
             "epsilon_0": eps0,
             "floor_ratio": eps0 / max(f["upper"] for f in floors),

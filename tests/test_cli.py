@@ -235,3 +235,25 @@ def test_density_scan_bad_window_exit_1(capsys, window, message):
     assert run(["density-scan", "--freqs", "0,1", f"--window={window}", "--h", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+_HALVES = measure_to_dict(AtomicMeasure.uniform([0, 1]))
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"measure": _HALVES, "frequencies": [0, 0.5]}, "exact rational"),
+        ({"measure": [1, 2], "frequencies": ["0", "1/2"]}, "'measure'"),
+        ([_HALVES, ["0", "1/2"]], "JSON object"),
+        ({"measure": _HALVES, "frequencies": "0,1/2"}, "'frequencies'"),
+    ],
+)
+def test_frame_bounds_malformed_system_exit_1(capsys, tmp_path, payload, message):
+    # bad input, never a traceback; a string is not iterated character by character
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(payload))
+    assert run(["frame-bounds", "--system", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err

@@ -15,10 +15,13 @@ from spectraforge import (
     factor_spectrum,
     gram_section,
     interval_union_rspectrum,
+    mask_eval,
     nonspectral_certificate,
     riesz_spectrum_convolution,
     spectrum_convolution,
+    zero_set_descriptor,
 )
+from spectraforge import convolution, spectra
 
 
 def quarter_cantor_convolution(weights=None):
@@ -43,10 +46,47 @@ def test_spectrum_convolution_direct_sum():
         F(0), F(1, 2), F(2), F(5, 2), F(8), F(17, 2), F(10), F(21, 2)
     )
     assert section.size == 8
-    # every unordered pair carries a witness naming the vanishing factor
-    pairs = section.witnesses["pairs"]
-    assert len(pairs) == 8 * 7 // 2
-    assert {kind for _, kind, _ in pairs} == {"mask-factor", "transform-factor"}
+    # every unordered pair is orthogonal, checked here without the library's
+    # certificate: the dilated mask is bit-exactly 0 at the difference, or the
+    # difference is an exact zero of the continuous factor's transform
+    nu_zeros = zero_set_descriptor(mu.continuous_factor)
+    freqs = section.frequencies
+    mask_zero = transform_zero = 0
+    for i, hi in enumerate(freqs):
+        for lo in freqs[:i]:
+            if mask_eval(mu.dilated_discrete, hi - lo) == 0:
+                mask_zero += 1
+            else:
+                assert nu_zeros.locate(hi - lo) is not None, (lo, hi)
+                transform_zero += 1
+    assert (mask_zero, transform_zero) == (16, 12)
+    # the closed-form counts of the factor argument
+    assert len(section.witnesses["pairs"]) == 28 == 16 + 12
+    assert section.witnesses["mask_factor_pairs"] == 16
+    assert section.witnesses["transform_factor_pairs"] == 12
+
+
+def test_spectrum_convolution_descriptor_builds_do_not_grow(monkeypatch):
+    # the section is certified by its two factor certificates, so the number
+    # of zero-set descriptors built is fixed, not one per pair of the section
+    builds = []
+    build = spectra.zero_set_descriptor
+
+    def counting(measure):
+        builds.append(measure)
+        return build(measure)
+
+    monkeypatch.setattr(convolution, "zero_set_descriptor", counting)
+    monkeypatch.setattr(spectra, "zero_set_descriptor", counting)
+    mu = quarter_cantor_convolution()
+    gen = SelfSimilarTowerGenerator(mu.continuous_factor)
+    counts = {}
+    for depth in (2, 5):
+        builds.clear()
+        section = spectrum_convolution(mu, (F(0), F(1, 2)), gen, depth)
+        assert section.size == 2 ** (depth + 1)
+        counts[depth] = len(builds)
+    assert counts[2] == counts[5]
 
 
 def test_spectrum_convolution_dilated_mask_zero_required():
