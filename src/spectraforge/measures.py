@@ -413,15 +413,24 @@ def measure_to_dict(measure: Measure) -> dict:
     raise TypeError(f"unsupported measure {type(measure).__name__}")
 
 
+def _json_list(data: dict, key: str) -> list:
+    value = data[key]
+    if not isinstance(value, list):
+        raise ValueError(f"measure field {key!r} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def measure_from_dict(data: dict) -> Measure:
+    """Decode a measure from the dict form of `measure_to_dict`; atoms,
+    weights and digits must be lists (a string is not split into characters)."""
     kind = data.get("type")
     if kind == "atomic":
         return AtomicMeasure(
-            tuple(as_fraction(a) for a in data["atoms"]),
-            tuple(as_fraction(w) for w in data["weights"]),
+            tuple(as_fraction(a) for a in _json_list(data, "atoms")),
+            tuple(as_fraction(w) for w in _json_list(data, "weights")),
         )
     if kind == "selfsimilar":
-        return SelfSimilarMeasure(tuple(data["digits"]), int(data["scale"]))
+        return SelfSimilarMeasure(tuple(_json_list(data, "digits")), int(data["scale"]))
     if kind == "lebesgue":
         return UnitIntervalLebesgue()
     if kind == "convolution":

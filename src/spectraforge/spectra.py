@@ -11,7 +11,7 @@ non-uniform atomic measures and is labeled as evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -74,6 +74,8 @@ class ZeroSetDescriptor:
     base_zeros: tuple[Fraction, ...]
     scale: int
     complete: bool = True
+    _zero_of: dict = field(init=False, repr=False, compare=False)
+    _max_denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         zeros = sorted_distinct(as_fraction(z) for z in self.base_zeros)
@@ -84,31 +86,45 @@ class ZeroSetDescriptor:
         if self.scale < 2:
             raise ValueError("scale must be >= 2")
         object.__setattr__(self, "base_zeros", zeros)
+        object.__setattr__(
+            self, "_zero_of", {(z.numerator, z.denominator): z for z in zeros}
+        )
+        object.__setattr__(self, "_max_denominator", max(z.denominator for z in zeros))
 
     def locate(self, x) -> Optional[tuple[int, Fraction]]:
-        """Return (j, z) with x = scale^j * (z + integer), or None.
+        """Return (j, z) with x = scale^j * (z + integer) and j minimal, or None.
 
-        Decidable in exact integer arithmetic: once |x|/scale^j falls inside
-        the zero-free gap around 0 (below min(z) and above max(z) - 1),
-        larger j cannot match.
+        Pure integer arithmetic.  For x = p/q, level j matches exactly when
+        the reduced fractional part of x / scale^j, that is
+        (p mod q*scale^j) / (q*scale^j) in lowest terms, is a base zero, so
+        each level costs one gcd and one lookup.  Its reduced denominator
+        q*scale^j / gcd(p, scale^j) never shrinks as j grows, because
+        gcd(p, scale^(j+1)) divides scale * gcd(p, scale^j); the search stops
+        once that denominator passes the largest base-zero denominator.
         """
-        x = as_fraction(x)
-        if x == 0:
+        if type(x) is int:
+            p, q = x, 1
+        else:
+            x = as_fraction(x)
+            p, q = x.numerator, x.denominator
+        if p == 0:
             return None
-        p, q = x.numerator, x.denominator
-        zmin = self.base_zeros[0]
-        zmax = self.base_zeros[-1]
-        gap = min(zmin, 1 - zmax)
+        zero_of = self._zero_of
+        bound = self._max_denominator
         N = self.scale
+        m = q * N
         j = 1
-        while abs(p) * gap.denominator >= gap.numerator * q * N:
-            for z in self.base_zeros:
-                a, b = z.numerator, z.denominator
-                if (p * b - a * q * N) % (b * q * N) == 0:
-                    return j, z
+        while True:
+            r = p % m
+            g = math.gcd(r, m)
+            den = m // g
+            if den > bound:
+                return None
+            z = zero_of.get((r // g, den))
+            if z is not None:
+                return j, z
             j += 1
-            N *= self.scale
-        return None
+            m *= N
 
     def __contains__(self, x) -> bool:
         return self.locate(x) is not None
@@ -180,6 +196,14 @@ def is_bizero(
     measures get exact zero-set-membership witnesses; anything else falls back
     to |mask| < policy.tolerance per pair, which is evidence, not proof.
     A failure names the offending pair.
+
+    For a self-similar measure the frequencies are written as integers over
+    their common denominator, and membership is decided once per distinct
+    difference: pairs with the same difference share its witness, so the
+    32-element depth-5 tower of the digits-{0,2}, scale-4 measure needs 121
+    membership tests, not 496.  Pairs are still visited, and witnessed, in
+    order, so a failure names the first pair whose difference is outside the
+    zero set.
     """
     freqs = sorted_distinct(as_fraction(f) for f in frequencies)
     if Fraction(0) not in freqs:
@@ -187,19 +211,25 @@ def is_bizero(
 
     if isinstance(measure, SelfSimilarMeasure):
         descriptor = zero_set_descriptor(measure)
+        L = math.lcm(*(f.denominator for f in freqs))
+        nums = [f.numerator * (L // f.denominator) for f in freqs]
+        details: dict[int, str] = {}
         witnesses = []
         for i, hi in enumerate(freqs):
-            for lo in freqs[:i]:
-                hit = descriptor.locate(hi - lo)
-                if hit is None:
-                    reason = "difference is outside the zero set"
-                    if not descriptor.complete:
-                        reason += " (descriptor may be incomplete)"
-                    return BiZeroFailure(freqs, (lo, hi), reason)
-                j, z = hit
-                witnesses.append(
-                    PairWitness(lo, hi, "zero-set", f"scale^{j} * ({z} + Z)")
-                )
+            top = nums[i]
+            for lo, bottom in zip(freqs[:i], nums[:i]):
+                d = top - bottom
+                detail = details.get(d)
+                if detail is None:
+                    hit = descriptor.locate(Fraction(d, L))
+                    if hit is None:
+                        reason = "difference is outside the zero set"
+                        if not descriptor.complete:
+                            reason += " (descriptor may be incomplete)"
+                        return BiZeroFailure(freqs, (lo, hi), reason)
+                    j, z = hit
+                    detail = details[d] = f"scale^{j} * ({z} + Z)"
+                witnesses.append(PairWitness(lo, hi, "zero-set", detail))
         return BiZeroCertificate(freqs, exact=True, witnesses=tuple(witnesses))
 
     if not isinstance(measure, AtomicMeasure):

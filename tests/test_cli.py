@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spectraforge import AtomicMeasure, measure_to_dict
+from spectraforge import AtomicMeasure, measure_from_dict, measure_to_dict
 from spectraforge.cli import run
 
 
@@ -257,3 +257,25 @@ def test_frame_bounds_malformed_system_exit_1(capsys, tmp_path, payload, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "measure,field",
+    [
+        ({"type": "atomic", "atoms": "01", "weights": ["1/2", "1/2"]}, "'atoms'"),
+        ({"type": "atomic", "atoms": ["0", "1"], "weights": "11"}, "'weights'"),
+        ({"type": "selfsimilar", "digits": "02", "scale": 4}, "'digits'"),
+        ({"type": "convolution", "dilation": 2, "continuous": {"type": "lebesgue"},
+          "discrete": {"type": "atomic", "atoms": "01", "weights": ["1/2", "1/2"]}}, "'atoms'"),
+    ],
+)
+def test_measure_fields_must_be_json_lists(capsys, tmp_path, measure, field):
+    # a string of atoms or digits is not read character by character
+    with pytest.raises(ValueError, match=field):
+        measure_from_dict(measure)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"measure": measure, "frequencies": ["0", "1/2"]}))
+    assert run(["frame-bounds", "--system", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err

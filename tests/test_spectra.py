@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectraforge import (
     AtomicMeasure,
@@ -19,6 +21,7 @@ from spectraforge import (
     zero_set_descriptor,
     zeroset_membership,
 )
+from spectraforge.rational import as_fraction
 
 
 def test_rational_mask_zeros():
@@ -78,6 +81,63 @@ def test_descriptor_locate_returns_witness():
     assert F(12) in d and F(2) not in d
 
 
+def gap_bounded_locate(descriptor, x):
+    """Reference search: try every base zero at j = 1, 2, ... in Fraction
+    arithmetic until |x| / scale^j falls inside the zero-free gap around 0."""
+    x = as_fraction(x)
+    if x == 0:
+        return None
+    zeros = descriptor.base_zeros
+    gap = min(zeros[0], 1 - zeros[-1])
+    j = 1
+    while abs(x) / descriptor.scale**j >= gap:
+        for z in zeros:
+            if (x / descriptor.scale**j - z).denominator == 1:
+                return j, z
+        j += 1
+    return None
+
+
+DIGIT_SETS = [
+    ((0, 2), 4), ((0, 1), 4), ((0, 3), 6), ((0, 2), 6), ((0, 1, 2), 6),
+    ((0, 4), 8), ((0, 1), 2), ((0, 5), 10), ((0, 1, 2, 3), 8),
+]
+
+
+@st.composite
+def zero_set_inputs(draw, descriptor):
+    """Integers past 2^63 of both signs, Fractions, 'p/q' strings, and exact
+    members scale^k * (z + m) with k up to 40, nudged or not."""
+    big = st.integers(-(2**80), 2**80)
+    kind = draw(st.sampled_from(["int", "fraction", "string", "member"]))
+    if kind == "int":
+        return draw(big)
+    if kind == "fraction":
+        return F(draw(big), draw(st.integers(1, 10**6)))
+    if kind == "string":
+        return f"{draw(st.integers(-(10**9), 10**9))}/{draw(st.integers(1, 500))}"
+    z = draw(st.sampled_from(descriptor.base_zeros))
+    k, m = draw(st.integers(0, 40)), draw(st.integers(-1000, 1000))
+    return descriptor.scale**k * (z + m) + draw(st.sampled_from([0, 0, 1, F(1, 2)]))
+
+
+@pytest.mark.parametrize("digits,scale", DIGIT_SETS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_locate_matches_gap_bounded_search(digits, scale, data):
+    d = zero_set_descriptor(SelfSimilarMeasure(digits, scale))
+    x = data.draw(zero_set_inputs(d))
+    assert d.locate(x) == gap_bounded_locate(d, x)
+
+
+def test_locate_edge_inputs_match_gap_bounded_search():
+    d = zero_set_descriptor(SelfSimilarMeasure((0, 2), 6))
+    for x in [1, -1, 2**63, -(2**63) + 2, 6**40 * 3, -(6**40), F(3, 2), F(-3, 2), "3/2", 0]:
+        assert d.locate(x) == gap_bounded_locate(d, x), x
+    with pytest.raises(TypeError):
+        d.locate(True)
+
+
 def test_descriptor_rejects_nonrational_scale_input():
     mu = SelfSimilarMeasure((0, 1, 3), 5)  # mask without rational zeros
     with pytest.raises(ValueError):
@@ -123,6 +183,59 @@ def test_is_bizero_numeric_fallback_for_weighted_atoms():
     cert = is_bizero((F(0), F(1, 2)), mu)
     # the weighted mask does not vanish at 1/2 (it equals -1/3)
     assert not cert.ok
+
+
+def per_pair_bizero(freqs, measure):
+    """Reference certificate: one gap-bounded search per pair, in order."""
+    d = zero_set_descriptor(measure)
+    witnesses = []
+    for i, hi in enumerate(freqs):
+        for lo in freqs[:i]:
+            hit = gap_bounded_locate(d, hi - lo)
+            if hit is None:
+                return (lo, hi), "difference is outside the zero set"
+            witnesses.append((lo, hi, "zero-set", f"scale^{hit[0]} * ({hit[1]} + Z)"))
+    return witnesses
+
+
+def certificate_form(cert):
+    if cert.ok:
+        return [(w.low, w.high, w.kind, w.detail) for w in cert.witnesses]
+    return cert.pair, cert.reason
+
+
+@pytest.mark.parametrize("digits,scale,depth", [
+    ((0, 2), 4, 7), ((0, 3), 6, 6), ((0, 1, 2), 6, 4), ((0, 4), 8, 7),
+])
+def test_is_bizero_matches_per_pair_reference_on_towers(digits, scale, depth):
+    mu = SelfSimilarMeasure(digits, scale)
+    lam = selfsimilar_spectrum(mu, depth)
+    cert = is_bizero(lam, mu)
+    assert cert.ok and cert.exact
+    assert len(cert.witnesses) == len(lam) * (len(lam) - 1) // 2
+    assert certificate_form(cert) == per_pair_bizero(lam, mu)
+    # a planted frequency outside the tower: same first failing pair and reason
+    planted = tuple(sorted(lam + (lam[-1] + F(1, 3),)))
+    failure = is_bizero(planted, mu)
+    assert not failure.ok
+    assert certificate_form(failure) == per_pair_bizero(planted, mu)
+
+
+def test_is_bizero_locates_each_distinct_difference_once(monkeypatch):
+    # the depth-5 (0,2):4 tower has 32 elements: 496 pairs, 121 distinct differences
+    calls = []
+    locate = ZeroSetDescriptor.locate
+
+    def counting_locate(self, x):
+        calls.append(x)
+        return locate(self, x)
+
+    monkeypatch.setattr(ZeroSetDescriptor, "locate", counting_locate)
+    mu = SelfSimilarMeasure((0, 2), 4)
+    lam = selfsimilar_spectrum(mu, 5)
+    cert = is_bizero(lam, mu)
+    assert cert.ok and len(cert.witnesses) == 496
+    assert len(calls) == 121 == len({b - a for i, b in enumerate(lam) for a in lam[:i]})
 
 
 def test_spectral_discrete_check():
